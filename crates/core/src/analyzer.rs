@@ -151,7 +151,7 @@ impl XApp for LlmAnalyzer {
             confirmed: matches!(finding.verdict, CrossVerdict::ConfirmedAnomalous),
             needs_human: matches!(finding.verdict, CrossVerdict::NeedsHumanReview { .. }),
             attacks: finding.parsed.attacks.clone(),
-            records: alert.records.clone(),
+            records: alert.records,
         };
         if let Ok(json) = serde_json::to_vec(&notice) {
             ctx.publish(crate::mitigator::FINDINGS_TOPIC, &json);

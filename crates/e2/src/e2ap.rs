@@ -5,7 +5,7 @@
 //! tag byte plus fields; streams frame them with the shared length-prefix
 //! framing from `xsec-proto`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use xsec_types::{CellId, GnbId, Result, XsecError};
 
 fn err(msg: impl Into<String>) -> XsecError {
@@ -180,7 +180,7 @@ impl E2apPdu {
 
     /// Decodes a PDU from bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut buf = Bytes::copy_from_slice(bytes);
+        let mut buf = bytes;
         if !buf.has_remaining() {
             return Err(err("empty E2AP PDU"));
         }
@@ -228,7 +228,7 @@ impl E2apPdu {
                     request_id,
                     ran_function,
                     sequence,
-                    payload: buf.copy_to_bytes(len).to_vec(),
+                    payload: take(&mut buf, len).to_vec(),
                 }
             }
             6 => {
@@ -236,7 +236,7 @@ impl E2apPdu {
                 let ran_function = buf.get_u32();
                 let len = buf.get_u32() as usize;
                 need(&buf, len, "control payload")?;
-                E2apPdu::ControlRequest { ran_function, payload: buf.copy_to_bytes(len).to_vec() }
+                E2apPdu::ControlRequest { ran_function, payload: take(&mut buf, len).to_vec() }
             }
             7 => {
                 need(&buf, 5, "control ack")?;
@@ -259,12 +259,19 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     }
 }
 
+/// Splits the next `len` bytes (already checked to be there) off `buf`.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], len: usize) -> &'a [u8] {
+    let (head, rest) = buf.split_at(len);
+    *buf = rest;
+    head
+}
+
 fn put_request_id(buf: &mut BytesMut, id: &RicRequestId) {
     buf.put_u16(id.requestor);
     buf.put_u16(id.instance);
 }
 
-fn get_request_id(buf: &mut Bytes) -> Result<RicRequestId> {
+fn get_request_id(buf: &mut &[u8]) -> Result<RicRequestId> {
     need(buf, 4, "request id")?;
     Ok(RicRequestId { requestor: buf.get_u16(), instance: buf.get_u16() })
 }
@@ -276,7 +283,7 @@ fn put_u32_list(buf: &mut BytesMut, list: &[u32]) {
     }
 }
 
-fn get_u32_list(buf: &mut Bytes) -> Result<Vec<u32>> {
+fn get_u32_list(buf: &mut &[u8]) -> Result<Vec<u32>> {
     need(buf, 2, "list length")?;
     let n = buf.get_u16() as usize;
     need(buf, n * 4, "list body")?;

@@ -7,7 +7,7 @@
 //! window plus a list of UTF-8 key/value pairs; MobiFlow records ride as
 //! `("mf/<msg_id>", "<semicolon record>")` entries.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use xsec_mobiflow::{decode_ue_record, encode_ue_record, UeMobiFlow};
 use xsec_types::{CellId, Result, Timestamp, XsecError};
 
@@ -77,7 +77,7 @@ impl KpmIndication {
 
     /// Decodes a payload.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut buf = Bytes::copy_from_slice(bytes);
+        let mut buf = bytes;
         if buf.remaining() < 24 {
             return Err(err("truncated KPM header"));
         }
@@ -103,7 +103,8 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
+/// Reads one length-prefixed string, copying its bytes once.
+fn get_str(buf: &mut &[u8]) -> Result<String> {
     if buf.remaining() < 2 {
         return Err(err("truncated string length"));
     }
@@ -111,7 +112,9 @@ fn get_str(buf: &mut Bytes) -> Result<String> {
     if buf.remaining() < len {
         return Err(err("truncated string body"));
     }
-    String::from_utf8(buf.copy_to_bytes(len).to_vec()).map_err(|e| err(format!("bad utf8: {e}")))
+    std::str::from_utf8(crate::e2ap::take(buf, len))
+        .map(str::to_owned)
+        .map_err(|e| err(format!("bad utf8: {e}")))
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! ```
 
 use crate::record::{UeMobiFlow, MOBIFLOW_VERSION};
+use std::fmt::{self, Write};
 use xsec_proto::{Direction, MessageKind};
 use xsec_types::{
     CellId, CipherAlg, EstablishmentCause, IntegrityAlg, Plmn, ReleaseCause, Result, Rnti, Supi,
@@ -21,11 +22,17 @@ fn err(msg: impl Into<String>) -> XsecError {
     XsecError::Codec(msg.into())
 }
 
+/// Initial capacity of an encoded line: enough for the typical record, so
+/// most lines are written without a reallocation.
+const LINE_CAPACITY: usize = 96;
+
 /// Encodes a UE record into its line form.
 pub fn encode_ue_record(r: &UeMobiFlow) -> String {
-    let opt_u32 = |v: Option<u32>| v.map(|x| x.to_string()).unwrap_or_else(|| "-".into());
-    format!(
-        "v{};UE;{};{};{};{:04x};{};{};{};{};{};{};{};{};{}",
+    // `write!` into a `String` cannot fail.
+    let mut out = String::with_capacity(LINE_CAPACITY);
+    let _ = write!(
+        out,
+        "v{};UE;{};{};{};{:04x};{};{};{}",
         MOBIFLOW_VERSION,
         r.msg_id,
         r.timestamp.as_micros(),
@@ -34,22 +41,45 @@ pub fn encode_ue_record(r: &UeMobiFlow) -> String {
         r.du_ue_id,
         if r.direction.is_uplink() { "UL" } else { "DL" },
         r.msg.name(),
-        r.tmsi.map(|t| t.0.to_string()).unwrap_or_else(|| "-".into()),
-        r.supi
-            .map(|s| format!("{:03}.{:02}.{}", s.plmn.mcc, s.plmn.mnc, s.msin))
-            .unwrap_or_else(|| "-".into()),
-        opt_u32(r.cipher_alg.map(|c| c.code() as u32)),
-        opt_u32(r.integrity_alg.map(|i| i.code() as u32)),
-        opt_u32(r.establishment_cause.map(|c| c.code() as u32)),
-        opt_u32(r.release_cause.map(|c| c.code() as u32)),
-    )
+    );
+    put_opt(&mut out, r.tmsi.map(|t| t.0));
+    out.push(';');
+    match r.supi {
+        Some(s) => {
+            let _ = write!(out, "{:03}.{:02}.{}", s.plmn.mcc, s.plmn.mnc, s.msin);
+        }
+        None => out.push('-'),
+    }
+    put_opt(&mut out, r.cipher_alg.map(CipherAlg::code));
+    put_opt(&mut out, r.integrity_alg.map(IntegrityAlg::code));
+    put_opt(&mut out, r.establishment_cause.map(EstablishmentCause::code));
+    put_opt(&mut out, r.release_cause.map(ReleaseCause::code));
+    out
+}
+
+/// Appends `;` and then the value, or `-` when it is absent.
+fn put_opt(out: &mut String, v: Option<impl fmt::Display>) {
+    out.push(';');
+    match v {
+        Some(x) => {
+            let _ = write!(out, "{x}");
+        }
+        None => out.push('-'),
+    }
 }
 
 /// Decodes a UE record from its line form.
 pub fn decode_ue_record(line: &str) -> Result<UeMobiFlow> {
-    let fields: Vec<&str> = line.split(';').collect();
-    if fields.len() != 15 {
-        return Err(err(format!("expected 15 fields, got {}", fields.len())));
+    let mut fields = [""; 15];
+    let mut n = 0;
+    for field in line.split(';') {
+        if let Some(slot) = fields.get_mut(n) {
+            *slot = field;
+        }
+        n += 1;
+    }
+    if n != fields.len() {
+        return Err(err(format!("expected 15 fields, got {n}")));
     }
     let version = fields[0]
         .strip_prefix('v')
@@ -73,12 +103,8 @@ pub fn decode_ue_record(line: &str) -> Result<UeMobiFlow> {
         }
     }
 
-    let msg_name = fields[8];
-    let msg = MessageKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.name() == msg_name)
-        .ok_or_else(|| err(format!("unknown message name {msg_name:?}")))?;
+    let msg = MessageKind::from_name(fields[8])
+        .ok_or_else(|| err(format!("unknown message name {:?}", fields[8])))?;
 
     let direction = match fields[7] {
         "UL" => Direction::Uplink,
@@ -89,13 +115,15 @@ pub fn decode_ue_record(line: &str) -> Result<UeMobiFlow> {
     let supi = if fields[10] == "-" {
         None
     } else {
-        let parts: Vec<&str> = fields[10].split('.').collect();
-        if parts.len() != 3 {
+        let mut parts = fields[10].split('.');
+        let (Some(mcc), Some(mnc), Some(msin), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(err(format!("bad SUPI field {:?}", fields[10])));
-        }
+        };
         Some(Supi::new(
-            Plmn { mcc: parse(parts[0], "mcc")?, mnc: parse(parts[1], "mnc")? },
-            parse(parts[2], "msin")?,
+            Plmn { mcc: parse(mcc, "mcc")?, mnc: parse(mnc, "mnc")? },
+            parse(msin, "msin")?,
         ))
     };
 
@@ -181,12 +209,89 @@ mod tests {
 
     #[test]
     fn encoded_form_is_stable() {
-        // Pin the exact wire format — downstream parsers depend on it.
-        let line = encode_ue_record(&sample());
-        assert_eq!(
-            line,
-            "v2;UE;42;123456;1;4601;7;UL;RegistrationRequest;99;001.01.12345;2;2;3;-"
-        );
+        // Pin the exact wire format — downstream parsers depend on it. The
+        // cases cover `-` optionals, the `{:03}.{:02}.` SUPI padding, the
+        // `{:04x}` RNTI and extreme integers.
+        let cases = [
+            (sample(), "v2;UE;42;123456;1;4601;7;UL;RegistrationRequest;99;001.01.12345;2;2;3;-"),
+            (
+                UeMobiFlow {
+                    msg_id: 0,
+                    timestamp: Timestamp(0),
+                    cell: CellId(0),
+                    rnti: Rnti(0x000a),
+                    du_ue_id: 0,
+                    direction: Direction::Downlink,
+                    msg: MessageKind::RrcSetup,
+                    tmsi: None,
+                    supi: None,
+                    cipher_alg: None,
+                    integrity_alg: None,
+                    establishment_cause: None,
+                    release_cause: None,
+                },
+                "v2;UE;0;0;0;000a;0;DL;RRCSetup;-;-;-;-;-;-",
+            ),
+            (
+                UeMobiFlow {
+                    msg_id: u64::MAX,
+                    timestamp: Timestamp(15_000_000),
+                    cell: CellId(16),
+                    rnti: Rnti(0xBEEF),
+                    du_ue_id: u32::MAX,
+                    direction: Direction::Uplink,
+                    msg: MessageKind::NasIdentityResponse,
+                    tmsi: Some(Tmsi(0)),
+                    supi: Some(Supi::new(Plmn { mcc: 9, mnc: 5 }, 42)),
+                    cipher_alg: Some(CipherAlg::Nea0),
+                    integrity_alg: Some(IntegrityAlg::Nia3),
+                    establishment_cause: None,
+                    release_cause: Some(ReleaseCause::Congestion),
+                },
+                "v2;UE;18446744073709551615;15000000;16;beef;4294967295;UL;IdentityResponse;\
+                 0;009.05.42;0;3;-;3",
+            ),
+            (
+                UeMobiFlow {
+                    msg_id: 7,
+                    timestamp: Timestamp(1),
+                    cell: CellId(2),
+                    rnti: Rnti(0x0001),
+                    du_ue_id: 3,
+                    direction: Direction::Downlink,
+                    msg: MessageKind::RrcRelease,
+                    tmsi: Some(Tmsi(u32::MAX)),
+                    supi: Some(Supi::new(Plmn { mcc: 310, mnc: 260 }, 1_234_567_890)),
+                    cipher_alg: None,
+                    integrity_alg: None,
+                    establishment_cause: Some(EstablishmentCause::Emergency),
+                    release_cause: Some(ReleaseCause::Normal),
+                },
+                "v2;UE;7;1;2;0001;3;DL;RRCRelease;4294967295;310.260.1234567890;-;-;0;0",
+            ),
+        ];
+        for (record, line) in cases {
+            assert_eq!(encode_ue_record(&record), line);
+            assert_eq!(decode_ue_record(line).unwrap(), record);
+        }
+    }
+
+    #[test]
+    fn decode_reports_the_field_count() {
+        let full = encode_ue_record(&sample());
+        for (line, n) in [
+            (String::new(), 1),
+            ("v2;UE;1".to_string(), 3),
+            (format!("{full};extra"), 16),
+            (format!("{full};;;;;"), 20),
+        ] {
+            match decode_ue_record(&line) {
+                Err(XsecError::Codec(msg)) => {
+                    assert_eq!(msg, format!("expected 15 fields, got {n}"), "{line:?}")
+                }
+                other => panic!("{line:?} decoded to {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -396,9 +396,15 @@ impl FrameWriter {
 /// available via [`FrameReader::next_frame`]. Partial frames are retained
 /// until their remaining bytes arrive — the standard pattern for reading a
 /// framed protocol off a TCP socket.
+///
+/// Popping a frame only moves a read cursor; the consumed prefix is dropped
+/// once per [`FrameReader::extend`], so draining a burst of frames costs time
+/// linear in its bytes.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Start of the bytes not yet popped.
+    pos: usize,
 }
 
 impl FrameReader {
@@ -409,6 +415,8 @@ impl FrameReader {
 
     /// Appends raw stream bytes.
     pub fn extend(&mut self, chunk: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(chunk);
     }
 
@@ -419,24 +427,25 @@ impl FrameReader {
     /// (a corrupt or hostile stream); the reader is then poisoned and the
     /// connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
+        let rest = &self.buf[self.pos..];
+        if rest.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
         if len > MAX_FRAME_LEN {
             return Err(err(format!("frame length {len} exceeds cap")));
         }
-        if self.buf.len() < 4 + len {
+        let Some(frame) = rest.get(4..4 + len) else {
             return Ok(None);
-        }
-        self.buf.advance(4);
-        let frame = self.buf.split_to(len);
-        Ok(Some(frame.to_vec()))
+        };
+        let frame = frame.to_vec();
+        self.pos += 4 + len;
+        Ok(Some(frame))
     }
 
     /// Bytes buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 }
 
@@ -558,6 +567,40 @@ mod tests {
             }
         }
         assert_eq!(seen, payloads);
+        assert_eq!(reader.buffered(), 0);
+    }
+
+    #[test]
+    fn burst_of_frames_from_one_extend_pops_in_order() {
+        let mut writer = FrameWriter::new();
+        for i in 0..10_000u32 {
+            writer.write_frame(&i.to_be_bytes()).unwrap();
+        }
+        let mut reader = FrameReader::new();
+        reader.extend(&writer.take());
+        for i in 0..10_000u32 {
+            assert_eq!(reader.next_frame().unwrap(), Some(i.to_be_bytes().to_vec()));
+        }
+        assert_eq!(reader.next_frame().unwrap(), None);
+        assert_eq!(reader.buffered(), 0);
+    }
+
+    #[test]
+    fn partial_frame_carries_across_chunks() {
+        let mut writer = FrameWriter::new();
+        writer.write_frame(b"first").unwrap();
+        writer.write_frame(b"second frame").unwrap();
+        let stream = writer.take();
+        // The first chunk ends inside the second frame's payload.
+        let (head, tail) = stream.split_at(4 + 5 + 4 + 3);
+        let mut reader = FrameReader::new();
+        reader.extend(head);
+        assert_eq!(reader.next_frame().unwrap(), Some(b"first".to_vec()));
+        assert_eq!(reader.next_frame().unwrap(), None);
+        assert_eq!(reader.buffered(), 4 + 3);
+        reader.extend(tail);
+        assert_eq!(reader.next_frame().unwrap(), Some(b"second frame".to_vec()));
+        assert_eq!(reader.next_frame().unwrap(), None);
         assert_eq!(reader.buffered(), 0);
     }
 

@@ -136,6 +136,11 @@ macro_rules! message_kinds {
                 match self { $(MessageKind::$variant => $name),+ }
             }
 
+            /// Inverse of [`MessageKind::name`].
+            pub fn from_name(name: &str) -> Option<Self> {
+                match name { $($name => Some(MessageKind::$variant),)+ _ => None }
+            }
+
             /// Nominal direction of this message type.
             pub fn direction(self) -> Direction {
                 match self { $(MessageKind::$variant => Direction::$dir),+ }
@@ -221,6 +226,16 @@ mod tests {
             assert_eq!(MessageKind::from_code(kind.code()), Some(*kind));
         }
         assert_eq!(MessageKind::from_code(200), None);
+    }
+
+    #[test]
+    fn names_round_trip_for_all_kinds() {
+        for kind in MessageKind::ALL {
+            assert_eq!(MessageKind::from_name(kind.name()), Some(*kind));
+        }
+        for unknown in ["", "NoSuchMessage", "rrcsetuprequest", "RRCSetupRequest "] {
+            assert_eq!(MessageKind::from_name(unknown), None, "{unknown:?}");
+        }
     }
 
     #[test]
